@@ -124,6 +124,23 @@ impl<V: Copy + Default> SeededMap<V> {
         }
     }
 
+    /// The bucket currently holding `key`, if present. Sorting keys by
+    /// slot reproduces [`iter`](Self::iter) order without a full scan.
+    #[inline]
+    pub fn slot(&self, key: u64) -> Option<usize> {
+        let mut i = self.start(key);
+        loop {
+            let k = self.keys[i];
+            if k == key {
+                return Some(i);
+            }
+            if k == EMPTY_KEY {
+                return None;
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
     /// A mutable reference to the value stored for `key`, if any.
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {

@@ -2,13 +2,14 @@
 //!
 //! The miss path (`lookup` → `candidates` → `install`) is the
 //! simulator's inner loop; after warm-up it must not touch the heap.
-//! A counting global allocator makes that a hard test rather than a
-//! bench note: the walk table, its path/stack buffers, the caller's
-//! `CandidateSet` and the `InstallOutcome` move list are all reusable
-//! buffers that reach their steady-state capacity during warm-up.
+//! A global allocator counting per thread makes that a hard test
+//! rather than a bench note: the walk table, its path/stack buffers,
+//! the caller's `CandidateSet` and the `InstallOutcome` move list are
+//! all reusable buffers that reach their steady-state capacity during
+//! warm-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use zcache_core::{
     CacheArray, CandidateSet, InstallOutcome, PartitionConfig, PartitionedCache, PolicyKind,
@@ -17,11 +18,23 @@ use zcache_core::{
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so tests running in
+    /// parallel never count each other's warm-ups.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -62,9 +75,9 @@ fn assert_steady(mut z: ZArray, label: &str) {
     // steady-state capacity.
     drive(&mut z, &mut cands, &mut out, 0, 4_000);
     // Steady state: misses on fresh addresses, full walks, deep victims.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     drive(&mut z, &mut cands, &mut out, 1_000_000, 2_000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -122,9 +135,9 @@ fn partitioned_access_path_is_allocation_free() {
         }
     };
     drive(&mut part, 0, 4_000);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     drive(&mut part, 1_000_000, 2_000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

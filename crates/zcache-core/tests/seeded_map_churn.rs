@@ -6,7 +6,8 @@
 //! deletion bug would silently corrupt lookups long after the faulty
 //! remove. This test drives randomized storms — bursts of inserts, then
 //! bursts of deletes, interleaved point ops — against a `BTreeMap`
-//! model and checks full agreement at every phase boundary.
+//! model and checks full agreement at every phase boundary, including
+//! that `iter()` order is `slot()` order.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -21,6 +22,56 @@ fn check_agreement(map: &SeededMap<u64>, model: &BTreeMap<u64, u64>, phase: &str
     seen.sort_unstable();
     let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(seen, want, "{phase}: iter disagrees with model");
+    check_slots(map, model.keys().copied(), phase);
+}
+
+/// `iter()` visits exactly the live keys in `slot` order — the
+/// property zserve relies on to replay a table scan's order from a
+/// handful of keys.
+fn check_slots(map: &SeededMap<u64>, live: impl Iterator<Item = u64>, phase: &str) {
+    let mut by_slot: Vec<(usize, u64)> = live
+        .map(|k| (map.slot(k).expect("live key has a slot"), k))
+        .collect();
+    by_slot.sort_unstable();
+    let by_slot: Vec<u64> = by_slot.into_iter().map(|(_, k)| k).collect();
+    let iter_order: Vec<u64> = map.iter().map(|(k, _)| k).collect();
+    assert_eq!(iter_order, by_slot, "{phase}: iter order is not slot order");
+}
+
+#[test]
+fn slot_order_matches_iter_across_growth_and_deletes() {
+    let mut map: SeededMap<u64> = SeededMap::with_capacity(4, 0x5eed);
+    let mut live = BTreeMap::new();
+    // 300 inserts into an 8-bucket table force several doublings.
+    for k in 1..=300u64 {
+        map.insert(k * 7919, k);
+        live.insert(k * 7919, k);
+    }
+    assert!(
+        live.keys().any(|&k| map.slot(k).unwrap() >= 8),
+        "the table never grew"
+    );
+    // Deletes in a scattered order exercise backward shifting.
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for round in 0..200 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let k = (x % 300 + 1) * 7919;
+        assert_eq!(map.remove(k), live.remove(&k));
+        if round % 3 == 0 {
+            map.insert(k + 1, round);
+            live.insert(k + 1, round);
+        }
+        check_slots(&map, live.keys().copied(), &format!("round {round}"));
+    }
+    for k in (1..=300u64)
+        .map(|k| k * 7919)
+        .filter(|k| !live.contains_key(k))
+    {
+        assert_eq!(map.slot(k), None, "removed key {k} still has a slot");
+    }
+    assert_eq!(map.slot(3), None, "never-inserted key has a slot");
 }
 
 proptest! {
@@ -75,6 +126,8 @@ proptest! {
                 }
             }
             check_agreement(&map, &model, &format!("after storm {i}"));
+            // Keys at or beyond `key_space` are never inserted.
+            prop_assert_eq!(map.slot(key_space + i as u64), None);
         }
         // Drain completely: every removal must still find its entry.
         let keys: Vec<u64> = model.keys().copied().collect();

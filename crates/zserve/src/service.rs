@@ -12,12 +12,26 @@
 //!
 //! 1. impose this tick's fault state on the shards (and arm poisons),
 //! 2. deliver replies produced last tick (acks, crash-triggered retries),
-//! 3. scan in-flight ops for timeouts and hedge opportunities,
-//! 4. send due retries,
+//! 3. pop due timeouts, then due hedges, off their deadline queues,
+//! 4. pop due retries off theirs and send them,
 //! 5. admit new arrivals (bounded by the in-flight limit),
 //! 6. step every shard (produces next tick's replies; an active drop
 //!    fault discards served replies here — the lost-ack path),
 //! 7. advance the clock.
+//!
+//! Steps 3–4 cost O(ops due this tick), not O(pending-table size): every
+//! attempt sent goes into a FIFO of `(sent, op_id)` (sends happen in tick
+//! order and `timeout` is constant, so FIFO order is deadline order),
+//! accepted first attempts into a second FIFO for hedging, and scheduled
+//! retries into a min-heap on `retry_at`. Entries are checked lazily: one
+//! whose op has since been acked, failed, retried or rescheduled is
+//! dropped when popped. Each step's due ops are then acted on in their
+//! pending-table bucket order ([`SeededMap::slot`]) — the order a scan of
+//! the table visits them — because that order decides shard queue order,
+//! and so every modelled result.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::shard::{EnqueueOutcome, Reply, ReplyStatus, Request, Shard, ShardConfig};
@@ -181,8 +195,17 @@ pub struct ZServe {
     now: u64,
     issued: u64,
     stats: ServeStats,
+    /// `(attempt_sent_at, op_id)` of every attempt put in flight, in send
+    /// order — which is timeout order.
+    timeouts: VecDeque<(u64, u64)>,
+    /// `(attempt_sent_at, op_id)` of every accepted first attempt, in
+    /// send order — which is hedge order. Empty when hedging is off.
+    hedges: VecDeque<(u64, u64)>,
+    /// `(retry_at, op_id)` of every scheduled retry.
+    retries: BinaryHeap<Reverse<(u64, u64)>>,
     scratch_replies: Vec<Reply>,
-    scratch_ids: Vec<u64>,
+    /// This step's due ops as `(pending slot, op_id)`.
+    due: Vec<(usize, u64)>,
 }
 
 impl ZServe {
@@ -206,6 +229,15 @@ impl ZServe {
         let gen = YcsbGen::new(cfg.spec, cfg.seed ^ WORKLOAD_TAG);
         let pending = SeededMap::with_capacity(cfg.inflight_limit * 2, cfg.seed ^ PENDING_TAG);
         let acked = vec![false; cfg.total_ops as usize];
+        // Every send passes through the timeout FIFO, which holds the
+        // sends of the last `timeout` ticks: at most `ops_per_tick` per
+        // tick in a fault-free run, so it never regrows there. The hedge
+        // FIFO and retry heap grow on demand and keep what they reach
+        // (presizing them too measured only a larger peak RSS).
+        let timeout_window = cfg
+            .timeout
+            .saturating_mul(u64::from(cfg.ops_per_tick))
+            .min(cfg.total_ops) as usize;
         Self {
             shard_pick: Mix64::new(cfg.seed ^ SHARD_PICK_TAG),
             jitter: Mix64::new(cfg.seed ^ RETRY_JITTER_TAG),
@@ -219,8 +251,11 @@ impl ZServe {
             now: 0,
             issued: 0,
             stats: ServeStats::default(),
+            timeouts: VecDeque::with_capacity(timeout_window),
+            hedges: VecDeque::new(),
+            retries: BinaryHeap::new(),
             scratch_replies: Vec::new(),
-            scratch_ids: Vec::new(),
+            due: Vec::new(),
         }
     }
 
@@ -325,8 +360,8 @@ impl ZServe {
     }
 
     fn deliver_inbox(&mut self) {
-        let replies = std::mem::take(&mut self.inbox);
-        for reply in replies {
+        let mut replies = std::mem::take(&mut self.inbox);
+        for reply in replies.drain(..) {
             let idx = (reply.op_id - 1) as usize;
             if self.acked[idx] {
                 // A hedge or retry already completed this op; the
@@ -357,6 +392,8 @@ impl ZServe {
                 }
             }
         }
+        // Hand the emptied buffer back so its capacity is reused.
+        self.inbox = replies;
     }
 
     /// Queues the next attempt for `op_id`, or fails the op if its
@@ -377,6 +414,7 @@ impl ZServe {
             Some(due) => {
                 let p = self.pending.get_mut(op_id).unwrap();
                 p.retry_at = due;
+                self.retries.push(Reverse((due, op_id)));
             }
             None => {
                 self.pending.remove(op_id);
@@ -385,38 +423,61 @@ impl ZServe {
         }
     }
 
+    /// Adds `op_id` to this step's due set if its queue entry is still
+    /// live: the op is pending and `live` holds for its current state.
+    fn mark_due(&mut self, op_id: u64, live: impl FnOnce(&Pending) -> bool) {
+        if self.pending.get(op_id).is_some_and(|p| live(&p)) {
+            let slot = self.pending.slot(op_id).expect("pending op has a slot");
+            self.due.push((slot, op_id));
+        }
+    }
+
+    /// Takes this step's due ops, in pending-table layout order; hand the
+    /// buffer back to `self.due` when done.
+    fn take_due(&mut self) -> Vec<(usize, u64)> {
+        self.due.sort_unstable();
+        std::mem::take(&mut self.due)
+    }
+
     fn scan_inflight(&mut self) {
+        let now = self.now;
         // Timeouts first.
-        self.scratch_ids.clear();
-        let timeout = self.cfg.timeout;
-        for (op_id, p) in self.pending.iter() {
-            if p.retry_at == IN_FLIGHT && self.now - p.attempt_sent_at >= timeout {
-                self.scratch_ids.push(op_id);
+        self.due.clear();
+        while let Some(&(sent, op_id)) = self.timeouts.front() {
+            if now - sent < self.cfg.timeout {
+                break;
             }
+            self.timeouts.pop_front();
+            self.mark_due(op_id, |p| {
+                p.retry_at == IN_FLIGHT && p.attempt_sent_at == sent
+            });
         }
-        let timed_out = std::mem::take(&mut self.scratch_ids);
-        for op_id in &timed_out {
+        let timed_out = self.take_due();
+        for &(_, op_id) in &timed_out {
             self.stats.timeouts += 1;
-            self.schedule_retry(*op_id);
+            self.schedule_retry(op_id);
         }
-        self.scratch_ids = timed_out;
+        self.due = timed_out;
         // Then hedges: first attempts that have waited `hedge_after`
         // get one duplicate request racing the original.
         let Some(hedge_after) = self.cfg.hedge_after else {
             return;
         };
-        self.scratch_ids.clear();
-        for (op_id, p) in self.pending.iter() {
-            if p.retry_at == IN_FLIGHT
-                && !p.hedged
-                && p.attempts == 1
-                && self.now - p.attempt_sent_at == hedge_after
-            {
-                self.scratch_ids.push(op_id);
+        self.due.clear();
+        while let Some(&(sent, op_id)) = self.hedges.front() {
+            if now - sent < hedge_after {
+                break;
             }
+            self.hedges.pop_front();
+            self.mark_due(op_id, |p| {
+                p.retry_at == IN_FLIGHT
+                    && !p.hedged
+                    && p.attempts == 1
+                    && now - p.attempt_sent_at == hedge_after
+            });
         }
-        let hedgeable = std::mem::take(&mut self.scratch_ids);
-        for &op_id in &hedgeable {
+        let hedgeable = self.take_due();
+        for &(_, op_id) in &hedgeable {
             let p = self.pending.get(op_id).unwrap();
             let outcome = self.shards[p.shard as usize].try_enqueue(Request {
                 op_id,
@@ -430,18 +491,22 @@ impl ZServe {
             // A bounced hedge is simply not retried — the original
             // attempt still owns the op.
         }
-        self.scratch_ids = hedgeable;
+        self.due = hedgeable;
     }
 
     fn send_retries(&mut self) {
-        self.scratch_ids.clear();
-        for (op_id, p) in self.pending.iter() {
-            if p.retry_at != IN_FLIGHT && p.retry_at <= self.now {
-                self.scratch_ids.push(op_id);
+        // Collect every due retry before sending any: a bounced retry
+        // rescheduled for this very tick waits until the next one.
+        self.due.clear();
+        while let Some(&Reverse((retry_at, op_id))) = self.retries.peek() {
+            if retry_at > self.now {
+                break;
             }
+            self.retries.pop();
+            self.mark_due(op_id, |p| p.retry_at == retry_at);
         }
-        let due = std::mem::take(&mut self.scratch_ids);
-        for &op_id in &due {
+        let due = self.take_due();
+        for &(_, op_id) in &due {
             let p = self.pending.get(op_id).unwrap();
             let outcome = self.shards[p.shard as usize].try_enqueue(Request {
                 op_id,
@@ -458,6 +523,7 @@ impl ZServe {
                     let p = self.pending.get_mut(op_id).unwrap();
                     p.retry_at = IN_FLIGHT;
                     p.attempt_sent_at = self.now;
+                    self.timeouts.push_back((self.now, op_id));
                 }
                 EnqueueOutcome::QueueFull | EnqueueOutcome::Down => {
                     self.stats.queue_rejections += 1;
@@ -465,7 +531,7 @@ impl ZServe {
                 }
             }
         }
-        self.scratch_ids = due;
+        self.due = due;
     }
 
     fn admit_arrivals(&mut self) {
@@ -500,6 +566,10 @@ impl ZServe {
             match outcome {
                 EnqueueOutcome::Accepted => {
                     self.pending.insert(op_id, pending);
+                    self.timeouts.push_back((self.now, op_id));
+                    if self.cfg.hedge_after.is_some() {
+                        self.hedges.push_back((self.now, op_id));
+                    }
                 }
                 EnqueueOutcome::QueueFull | EnqueueOutcome::Down => {
                     self.stats.queue_rejections += 1;

@@ -256,7 +256,9 @@ fn overload_variant(mut cfg: ServeConfig) -> ServeConfig {
     cfg
 }
 
-fn effective_cfg(base: &ServeConfig, schedule: &Schedule, seed: u64) -> ServeConfig {
+/// The config a soak point runs: `base` under `seed`, in its overload
+/// variant if the schedule asks for one.
+pub fn effective_cfg(base: &ServeConfig, schedule: &Schedule, seed: u64) -> ServeConfig {
     let mut cfg = base.clone();
     cfg.seed = seed;
     if schedule.overload {

@@ -4,21 +4,33 @@
 //! memory channels) is the execution-mode inner loop; after warm-up it
 //! must not touch the heap. The L1/L2 access engines reuse their walk
 //! buffers (PR 2/4), the directory is a pre-sized seeded open-addressing
-//! table, and ports/memory are fixed arrays — a counting global
+//! table, and ports/memory are fixed arrays — a per-thread counting global
 //! allocator makes that a hard test rather than a bench note.
 
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use zsim::{L2Design, SimConfig, System};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so tests running in
+    /// parallel never count each other's warm-ups.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { SysAlloc.alloc(layout) }
     }
 
@@ -27,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { SysAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -68,9 +80,9 @@ fn assert_steady(design: L2Design, label: &str) {
     // reusable buffer reach its steady-state capacity.
     drive(&mut sys, 0x9e37_79b9, 60_000);
     // Steady state: fresh addresses, misses, evictions, coherence.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     drive(&mut sys, 0x51ed_2701, 30_000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
