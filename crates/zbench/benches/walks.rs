@@ -71,9 +71,9 @@ fn bench_walks(c: &mut Criterion) {
 /// Candidates-only cost per lineup design (`z2`/`z3`/`z4` — the rows
 /// BENCH_access.json pins): a full array, so every walk runs to its
 /// configured depth with no empty-frame early stop. This isolates the
-/// level-batched expansion from selection and install; run it before
-/// and after touching `ZArray::walk_core`/`expand4` (the CI bench-smoke
-/// job runs this group on every push).
+/// walk kernel from selection and install; run it before and after
+/// touching the `ZArray` walk or its expander (the CI bench-smoke job
+/// runs this group on every push).
 fn bench_walk_lineup(c: &mut Criterion) {
     let mut group = c.benchmark_group("walk-lineup");
     for (name, levels) in [("z2", 2u32), ("z3", 3), ("z4", 4)] {

@@ -57,8 +57,7 @@ pub struct Candidate {
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     items: Vec<Candidate>,
-    /// Scratch for batched scoring
-    /// ([`ReplacementPolicy::score_many`]); reused across misses.
+    /// Scratch for scoring; reused across misses.
     scores: Vec<u64>,
     /// Index of the first empty-frame candidate, tracked by [`push`]
     /// (`u32::MAX` = none) so selection never rescans the set for one.
@@ -112,19 +111,22 @@ impl CandidateSet {
         self.items.reserve(n);
     }
 
-    /// Bulk-mirrors a finished walk table into the (cleared) set: one
-    /// sized `extend` instead of per-item [`push`](Self::push) calls,
-    /// with `first_empty` supplied by the walker — which knows exactly
-    /// where the first empty frame landed (among the roots, or as the
-    /// early-stopping last node) without rescanning.
-    pub(crate) fn extend_from_nodes(&mut self, nodes: &[walk::WalkNode], first_empty: u32) {
-        debug_assert!(self.items.is_empty(), "mirror expects a cleared set");
-        self.items
-            .extend(nodes.iter().enumerate().map(|(i, n)| Candidate {
-                slot: n.slot,
-                addr: n.addr_opt(),
-                token: i as u32,
-            }));
+    /// Replaces the contents with the records of a walk table's slot and
+    /// tag columns (token `i` is node `i`); `first_empty` comes from the
+    /// walker, which knows where the first empty frame landed.
+    pub(crate) fn fill_from_walk(&mut self, slots: &[SlotId], tags: &[u64], first_empty: u32) {
+        self.clear();
+        self.items.extend(
+            slots
+                .iter()
+                .zip(tags)
+                .enumerate()
+                .map(|(i, (&slot, &tag))| Candidate {
+                    slot,
+                    addr: (tag != INVALID_TAG).then_some(tag),
+                    token: i as u32,
+                }),
+        );
         self.first_empty = first_empty;
         debug_assert_eq!(
             first_empty,
@@ -156,41 +158,41 @@ impl CandidateSet {
         self.items.get(self.first_empty as usize)
     }
 
-    /// Selects the victim from this set with one batched
-    /// [`score_many`](ReplacementPolicy::score_many) call: the first
-    /// empty frame if any, otherwise the highest-scoring occupied
-    /// candidate (first wins ties) — the same choice as
-    /// [`select_victim`]. `None` only for an empty set.
+    /// The walk summary of this set: its size, levels and tag reads.
+    pub(crate) fn walk_stats(&self) -> WalkStats {
+        WalkStats {
+            candidates: self.items.len() as u32,
+            levels: self.levels,
+            tag_reads: self.tag_reads,
+            ..WalkStats::default()
+        }
+    }
+
+    /// Selects the victim from this set: the first empty frame if any,
+    /// otherwise the highest-scoring occupied candidate (first wins
+    /// ties) — the same choice as
+    /// [`select_victim`](crate::select_victim). `None` only for an empty
+    /// set.
     pub fn select_with<P: ReplacementPolicy + ?Sized>(&mut self, policy: &P) -> Option<Candidate> {
         // An empty frame (tracked at push time) wins before any scoring —
         // `score` is pure, so not scoring cannot change policy state.
         if let Some(c) = self.first_empty() {
             return Some(*c);
         }
-        // One dispatched call scores every candidate; the max scan then
-        // touches only the dense score vector, exactly as `select_victim`
-        // would choose (first wins ties).
-        self.scores.clear();
-        policy.score_many(&self.items, &mut self.scores);
-        let mut best: Option<(usize, u64)> = None;
-        for (i, &s) in self.scores.iter().enumerate() {
-            match best {
-                Some((_, bs)) if bs >= s => {}
-                _ => best = Some((i, s)),
-            }
-        }
-        best.map(|(i, _)| self.items[i])
+        self.compute_scores(policy);
+        max_first(&self.scores).map(|i| self.items[i])
     }
 
-    /// Scores every candidate with one batched
-    /// [`score_many`](ReplacementPolicy::score_many) call into the
-    /// internal scratch vector (read it back with
+    /// Scores every candidate with
+    /// [`score`](ReplacementPolicy::score) into the internal scratch
+    /// vector (read it back with
     /// [`scores`](Self::scores)). Custom victim-selection layers use
     /// this to see exactly the score vector
     /// [`select_with`](Self::select_with) would scan.
     pub fn compute_scores<P: ReplacementPolicy + ?Sized>(&mut self, policy: &P) {
         self.scores.clear();
-        policy.score_many(&self.items, &mut self.scores);
+        self.scores
+            .extend(self.items.iter().map(|c| policy.score(c.slot)));
     }
 
     /// The score vector of the most recent
@@ -199,6 +201,44 @@ impl CandidateSet {
     pub fn scores(&self) -> &[u64] {
         &self.scores
     }
+}
+
+/// Index of the highest score, taking the first of equal maxima (the
+/// victim-selection scan); `None` for an empty slice.
+///
+/// Short vectors (set-associative and skew candidate sets) take a
+/// running `(best, index)` scan. Long ones (zcache walks) would make that
+/// scan mispredict on nearly every new maximum of their unordered
+/// scores, so they take the maximum from four independent running maxima
+/// first, with no data-dependent branch, and then its first position.
+/// Each form measured slower on the other's side of the cut (see "Walk
+/// cost" in EXPERIMENTS.md).
+#[inline]
+pub(crate) fn max_first(scores: &[u64]) -> Option<usize> {
+    if scores.len() <= 8 {
+        let (&first, rest) = scores.split_first()?;
+        let (mut best, mut at) = (first, 0);
+        for (i, &s) in rest.iter().enumerate() {
+            if s > best {
+                best = s;
+                at = i + 1;
+            }
+        }
+        return Some(at);
+    }
+    let mut lanes = [0u64; 4];
+    let mut chunks = scores.chunks_exact(4);
+    for c in &mut chunks {
+        for (m, &s) in lanes.iter_mut().zip(c) {
+            *m = (*m).max(s);
+        }
+    }
+    let max = chunks
+        .remainder()
+        .iter()
+        .chain(&lanes)
+        .fold(0, |m, &s| m.max(s));
+    scores.iter().position(|&s| s == max)
 }
 
 /// Result of installing a block, including relocation bookkeeping.
@@ -283,18 +323,17 @@ pub trait CacheArray {
     /// the walk tree for the subsequent [`install`](Self::install).
     fn candidates(&mut self, addr: LineAddr, out: &mut CandidateSet);
 
-    /// Gathers replacement candidates for `addr` into `out` *and*
-    /// selects the victim, in one pass where the array supports it.
+    /// Gathers replacement candidates for `addr` *and* selects the
+    /// victim; returns it with the walk's summary (candidates, levels,
+    /// tag reads).
     ///
-    /// Semantics are pinned to the unfused sequence — `candidates`,
+    /// Semantics are pinned to the two-pass sequence — `candidates`,
     /// [`before_select`](ReplacementPolicy::before_select), then
-    /// [`select_victim`] — and any override must produce the exact same
-    /// candidate set in `out` and the exact same victim. (Selecting with
-    /// per-candidate [`score`](ReplacementPolicy::score) calls during
-    /// the walk has been tried and measured slower than the batched
-    /// [`score_many`](ReplacementPolicy::score_many) rescan: the
-    /// per-item policy dispatch in the loop beats the dense score-vector
-    /// pass only for tiny candidate sets.)
+    /// [`CandidateSet::select_with`] — and any override must pick the
+    /// exact same victim. `out` is scratch: an override may leave it
+    /// without the candidate records (the [`ZArray`] access path builds
+    /// none unless the policy's select prepass needs them);
+    /// [`rebuild_candidates`](Self::rebuild_candidates) restores them.
     ///
     /// # Panics
     ///
@@ -305,15 +344,24 @@ pub trait CacheArray {
         addr: LineAddr,
         policy: &mut P,
         out: &mut CandidateSet,
-    ) -> Candidate
+    ) -> (Candidate, WalkStats)
     where
         Self: Sized,
     {
         self.candidates(addr, out);
         policy.before_select(out.as_slice());
-        out.select_with(policy)
-            .expect("candidate sets are never empty")
+        let victim = out
+            .select_with(policy)
+            .expect("candidate sets are never empty");
+        (victim, out.walk_stats())
     }
+
+    /// Writes into `out` the candidate records of the most recent
+    /// [`candidates_select`](Self::candidates_select) when that call
+    /// may have left them unbuilt. The default leaves `out` as it is:
+    /// arrays that keep the default `candidates_select` have already
+    /// filled it.
+    fn rebuild_candidates(&self, _out: &mut CandidateSet) {}
 
     /// Issues best-effort memory-system hints for the tag frames a
     /// subsequent [`lookup`](Self::lookup) of `addr` would probe.
@@ -329,8 +377,8 @@ pub trait CacheArray {
     /// designs deliberately keep the no-op default: their row vector
     /// costs real hash work that [`lookup_mut`](Self::lookup_mut)
     /// memoizes instead, and recomputing it in a hint was measured
-    /// slower than the fetches it hides (see the walk-prefetch ablation
-    /// in EXPERIMENTS.md).
+    /// slower than the fetches it hides (see "Walk cost" in
+    /// EXPERIMENTS.md).
     fn prefetch_lookup(&self, _addr: LineAddr) {}
 
     /// Installs `addr`, vacating `victim` (a candidate returned by the
@@ -501,8 +549,12 @@ impl CacheArray for AnyArray {
         addr: LineAddr,
         policy: &mut P,
         out: &mut CandidateSet,
-    ) -> Candidate {
+    ) -> (Candidate, WalkStats) {
         delegate!(self, a => a.candidates_select(addr, policy, out))
+    }
+    #[inline]
+    fn rebuild_candidates(&self, out: &mut CandidateSet) {
+        delegate!(self, a => a.rebuild_candidates(out))
     }
     #[inline]
     fn install(&mut self, addr: LineAddr, victim: &Candidate, out: &mut InstallOutcome) {

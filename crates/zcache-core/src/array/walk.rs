@@ -75,86 +75,84 @@ pub fn replacement_candidates(ways: u32, levels: u32) -> u64 {
     w.saturating_mul(per_root)
 }
 
-/// A node of the walk tree.
-///
-/// `addr` uses the [`INVALID_TAG`] sentinel instead of `Option` so a node
-/// is 24 bytes, not 32 — the walk table is the hottest write path of a
-/// miss.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WalkNode {
-    /// Block resident in `slot` ([`INVALID_TAG`] = empty frame).
-    pub addr: u64,
-    /// Frame this candidate occupies.
-    pub slot: SlotId,
-    /// Index of the parent node, or `u32::MAX` for level-0 roots.
-    pub parent: u32,
-    /// Way of `slot`.
-    pub way: u8,
-    /// Tree level (0 = first-level candidate).
-    pub level: u8,
-}
-
-impl WalkNode {
-    /// The resident block as an `Option` (the external representation).
-    #[inline(always)]
-    pub fn addr_opt(&self) -> Option<LineAddr> {
-        (self.addr != INVALID_TAG).then_some(self.addr)
-    }
-}
-
 pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// The controller's walk table: the SRAM that remembers candidate
 /// positions so relocations can retrace the victim's path (§III-C).
+///
+/// A structure of arrays, one entry per walk node in discovery order
+/// (BFS order for the paper's walk): a node's index is its candidate
+/// token. The columns are kept at least `len` entries long and are
+/// written by index, so the walk's inner loop appends with plain stores
+/// instead of `Vec` pushes; victim selection scores the dense `slot`
+/// column directly. The tag column records each frame's resident block
+/// ([`INVALID_TAG`] = empty) as the walk read it. A node's way needs no
+/// column: slot ids are `way · rows + row` with a power-of-two row
+/// count, so the way is the slot id's high bits.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WalkTable {
-    pub nodes: Vec<WalkNode>,
+    /// Frame of each node.
+    pub slot: Vec<SlotId>,
+    /// Block resident in each node's frame when the walk read it.
+    pub tag: Vec<u64>,
+    /// Index of each node's parent ([`NO_PARENT`] for level-0 roots).
+    pub parent: Vec<u32>,
+    /// Nodes written by the most recent walk.
+    pub len: usize,
+    /// Index of the first empty-frame node (`u32::MAX` = none).
+    pub first_empty: u32,
     /// Address the walk was performed for; guards stale installs.
     pub for_addr: Option<LineAddr>,
     pub stats: WalkStats,
     /// Reusable buffer for [`fill_path`](Self::fill_path), so installs
     /// allocate nothing in steady state.
     pub path: Vec<u32>,
-    /// Reusable DFS work stack (empty outside a DFS walk).
-    pub stack: Vec<u32>,
-    /// Ancestor slots (one per level) of the node currently being
-    /// expanded. Filled once per expanded node, then scanned per child —
-    /// replacing the per-child parent-pointer chase through the node
-    /// table with a linear membership pass over a buffer that is at most
-    /// `levels` entries long.
-    pub ancestors: Vec<SlotId>,
+    /// Reusable DFS work stack of `(node, level)` (empty outside a DFS
+    /// walk).
+    pub stack: Vec<(u32, u32)>,
+    /// Reusable score vector for victim selection, parallel to `slot`.
+    pub scores: Vec<u64>,
 }
 
 impl WalkTable {
     pub fn clear(&mut self, addr: LineAddr) {
-        self.nodes.clear();
+        self.len = 0;
+        self.first_empty = u32::MAX;
         self.for_addr = Some(addr);
         self.stats = WalkStats::default();
     }
 
-    /// Pre-sizes the table's buffers for walks of up to `candidates`
-    /// nodes, so steady-state walks and installs never reallocate.
-    pub fn reserve(&mut self, candidates: usize) {
-        self.nodes.reserve(candidates);
-        self.path.reserve(candidates);
-        self.stack.reserve(candidates);
-        self.ancestors.reserve(candidates);
+    /// Grows every column to hold at least `nodes` entries (and the
+    /// path, stack and score buffers to match). Walks call it before
+    /// each BFS level (each DFS expansion) that could outgrow the
+    /// columns, which only happens below the steady-state size.
+    #[cold]
+    pub fn grow(&mut self, nodes: usize) {
+        let n = nodes.max(2 * self.slot.len());
+        self.slot.resize(n, SlotId(0));
+        self.tag.resize(n, INVALID_TAG);
+        self.parent.resize(n, NO_PARENT);
+        self.path.reserve(n);
+        self.stack.reserve(n);
+        self.scores.reserve(n);
     }
 
-    /// Fills [`ancestors`](Self::ancestors) with the slots on the path
-    /// from `node` up to its root (inclusive) — one entry per level, in
-    /// chase order (the dedup scan only tests membership).
-    pub fn fill_ancestors(&mut self, node: u32) {
-        self.ancestors.clear();
-        let mut i = node;
-        loop {
-            let n = &self.nodes[i as usize];
-            self.ancestors.push(n.slot);
-            if n.parent == NO_PARENT {
-                break;
-            }
-            i = n.parent;
+    /// Writes node `i`; the columns must already hold index `i`.
+    #[inline(always)]
+    pub fn set(&mut self, i: usize, slot: SlotId, tag: u64, parent: u32) {
+        self.slot[i] = slot;
+        self.tag[i] = tag;
+        self.parent[i] = parent;
+    }
+
+    /// Tree level of `node` (0 for a root).
+    pub fn level(&self, mut node: u32) -> u32 {
+        let mut level = 0;
+        while self.parent[node as usize] != NO_PARENT {
+            node = self.parent[node as usize];
+            level += 1;
         }
+        level
     }
 
     /// Fills [`path`](Self::path) with the node indices from `node` to
@@ -163,36 +161,12 @@ impl WalkTable {
         self.path.clear();
         loop {
             self.path.push(node);
-            let p = self.nodes[node as usize].parent;
+            let p = self.parent[node as usize];
             if p == NO_PARENT {
                 break;
             }
             node = p;
         }
-    }
-
-    /// Walks from `node` to its root, invoking `f` on each node index
-    /// (starting at `node` itself).
-    pub fn path_to_root(&self, mut node: u32, f: &mut dyn FnMut(u32)) {
-        loop {
-            f(node);
-            let p = self.nodes[node as usize].parent;
-            if p == NO_PARENT {
-                break;
-            }
-            node = p;
-        }
-    }
-
-    /// True if `slot` appears on the path from `node` to the root.
-    pub fn slot_on_path(&self, node: u32, slot: SlotId) -> bool {
-        let mut found = false;
-        self.path_to_root(node, &mut |i| {
-            if self.nodes[i as usize].slot == slot {
-                found = true;
-            }
-        });
-        found
     }
 }
 
@@ -226,35 +200,17 @@ mod tests {
     }
 
     #[test]
-    fn path_to_root_visits_ancestors() {
+    fn path_follows_parents() {
         let mut t = WalkTable::default();
         t.clear(99);
-        t.nodes.push(WalkNode {
-            slot: SlotId(0),
-            addr: 1,
-            parent: NO_PARENT,
-            way: 0,
-            level: 0,
-        });
-        t.nodes.push(WalkNode {
-            slot: SlotId(5),
-            addr: 2,
-            parent: 0,
-            way: 1,
-            level: 1,
-        });
-        t.nodes.push(WalkNode {
-            slot: SlotId(9),
-            addr: 3,
-            parent: 1,
-            way: 2,
-            level: 2,
-        });
-        let mut visited = Vec::new();
-        t.path_to_root(2, &mut |i| visited.push(i));
-        assert_eq!(visited, vec![2, 1, 0]);
-        assert!(t.slot_on_path(2, SlotId(5)));
-        assert!(t.slot_on_path(2, SlotId(0)));
-        assert!(!t.slot_on_path(1, SlotId(9)));
+        t.grow(3);
+        t.set(0, SlotId(0), 1, NO_PARENT);
+        t.set(1, SlotId(5), 2, 0);
+        t.set(2, SlotId(9), 3, 1);
+        t.len = 3;
+        t.fill_path(2);
+        assert_eq!(t.path, vec![2, 1, 0]);
+        assert_eq!(t.level(2), 2);
+        assert_eq!(t.level(0), 0);
     }
 }

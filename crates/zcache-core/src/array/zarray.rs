@@ -1,9 +1,46 @@
 //! The zcache tag array (§III of the paper).
+//!
+//! # Layout
+//!
+//! **Frames.** `frames[way · rows + row]` holds one 16-byte [`Frame`]
+//! per tag-array frame: the resident block's tag (with [`INVALID_TAG`]
+//! for an empty frame) next to the block's cached per-way row vector.
+//! Expanding a walk node therefore reads one cache line, the one its
+//! tag read already touched.
+//!
+//! **Walk table.** A miss's replacement walk (§III-A) writes a structure
+//! of arrays, one entry per candidate in discovery order:
+//!
+//! | column   | type     | holds                                        |
+//! |----------|----------|----------------------------------------------|
+//! | `slot`   | `SlotId` | the candidate's frame                        |
+//! | `tag`    | `u64`    | the block the walk read there                |
+//! | `parent` | `u32`    | the node it was reached from (roots: none)   |
+//!
+//! A node's index is its candidate token; its way is the slot id's high
+//! bits (rows per way are a power of two). Breadth-first order keeps
+//! each level contiguous, so the walk expands the frontier `lo..hi`
+//! level by level with one kernel ([`Expander`]) that holds the frame
+//! array and the columns as local slices. A child lives in another way
+//! than its parent, so the path-repeat check only compares the child
+//! against the ancestors above the parent.
+//!
+//! **Selection.** On the access path
+//! ([`candidates_select`](CacheArray::candidates_select)) the policy
+//! scores the dense `slot` column with one
+//! [`score_slots`](ReplacementPolicy::score_slots) call and the victim
+//! is the first highest score, or the first empty frame, which wins
+//! before any scoring. No [`Candidate`] record is built there unless
+//! the policy's select prepass needs them. Records are built on request
+//! from the retained table: by [`candidates`](CacheArray::candidates),
+//! by [`rebuild_candidates`](CacheArray::rebuild_candidates) (behind
+//! `Cache::last_candidates`), and for a prepass. `install` retraces the
+//! victim's path through the `parent` column.
 
 use super::tags::INVALID_TAG;
-use super::walk::{WalkKind, WalkNode, WalkTable, NO_PARENT};
-use super::{CacheArray, Candidate, CandidateSet, InstallOutcome};
-use crate::prefetch::prefetch_read;
+use super::walk::{WalkKind, WalkStats, WalkTable, NO_PARENT};
+use super::{max_first, CacheArray, Candidate, CandidateSet, InstallOutcome};
+use crate::repl::ReplacementPolicy;
 use crate::types::{LineAddr, Location, SlotId};
 use zhash::{AnyHasher, BloomFilter, HashKind, Hasher64};
 
@@ -44,7 +81,7 @@ pub struct ZArray {
     /// `frames[way * rows + row]`: one record per frame.
     frames: Vec<Frame>,
     /// Probe memo `(addr, per-way rows)` stashed by
-    /// [`lookup_mut`](CacheArray::lookup_mut): on a miss, `walk_core`
+    /// [`lookup_mut`](CacheArray::lookup_mut): on a miss, the walk
     /// reuses the rows the lookup just hashed instead of rehashing.
     /// Rows are a pure function of the address and the fixed hash
     /// family, so the memo can never go stale; it is only ever *read*
@@ -86,12 +123,6 @@ const EMPTY_FRAME: Frame = Frame {
     tag: INVALID_TAG,
     rows: [0; FRAME_WAYS],
 };
-
-/// Deepest walk the [`ZArray::expand4`] fast path handles: its ancestor
-/// path lives in a fixed stack array of this many slots. Deeper walks
-/// (never used by the paper's designs) take the general [`ZArray::expand`]
-/// path.
-const EXPAND4_MAX_LEVELS: usize = 8;
 
 /// Public view of one walk-tree node (see [`ZArray::walk_node`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,11 +199,11 @@ impl ZArray {
             .collect();
         let fused = (ways == 4 && hash == HashKind::H3).then(|| build_fused(&hashers));
         // Pre-size the walk table to the full R = W·Σ(W−1)^l bound
-        // (capped for degenerate configurations) so steady-state walks
-        // never grow it.
+        // (capped for degenerate configurations, and never below the W
+        // roots every walk writes) so steady-state walks never grow it.
         let reserve = super::walk::replacement_candidates(ways, levels).min(4096) as usize;
         let mut walk = WalkTable::default();
-        walk.reserve(reserve);
+        walk.grow(reserve.max(ways as usize));
         Self {
             ways,
             rows,
@@ -273,20 +304,19 @@ impl ZArray {
         Some(acc)
     }
 
-    /// Statistics of the most recent walk.
-    pub fn last_walk_stats(&self) -> super::walk::WalkStats {
-        self.walk.stats
-    }
-
     /// Describes node `token` of the most recent walk (for diagnostics
     /// and the Fig. 1 walkthrough); `None` if the token is out of range.
     pub fn walk_node(&self, token: u32) -> Option<WalkNodeInfo> {
-        let node = self.walk.nodes.get(token as usize)?;
+        let i = token as usize;
+        if i >= self.walk.len {
+            return None;
+        }
+        let parent = self.walk.parent[i];
         Some(WalkNodeInfo {
-            location: self.location(node.slot),
-            addr: node.addr_opt(),
-            level: u32::from(node.level),
-            parent: (node.parent != super::walk::NO_PARENT).then_some(node.parent),
+            location: self.location(self.walk.slot[i]),
+            addr: tag_opt(self.walk.tag[i]),
+            level: self.walk.level(token),
+            parent: (parent != NO_PARENT).then_some(parent),
         })
     }
 
@@ -301,215 +331,39 @@ impl ZArray {
         self.row_bits <= u16::BITS
     }
 
-    /// Expands `node_idx`, pushing children onto the walk table (the
-    /// caller mirrors the finished table into its [`CandidateSet`] in
-    /// one dense pass). Returns `true` if an empty frame was found
-    /// (callers stop the walk: a free frame is a perfect victim).
-    fn expand(&mut self, node_idx: u32) -> bool {
-        let node = self.walk.nodes[node_idx as usize];
-        let baddr = node.addr;
-        if baddr == INVALID_TAG {
-            return false; // empty frames have no block to rehash
-        }
-        // Level-indexed ancestor slots, filled once per expanded node: a
-        // per-child chase through the parent pointers would re-read the
-        // node table `W−1` times per expansion; this buffer costs one
-        // chase and each child scans at most `levels` contiguous slots.
-        self.walk.fill_ancestors(node_idx);
-        let mut found_empty = false;
-        let mut pushed = 0u32;
-        // The resident block's row vector was cached next to its tag at
-        // install time; the line is warm from the tag read that created
-        // this node, so the W−1 rehashes of §III-A cost nothing here.
-        let rows_cacheable = self.rows_cacheable();
-        let cached_rows = self.frames[node.slot.idx()].rows;
-        for way in 0..self.ways {
-            if way == u32::from(node.way) {
-                continue; // the matching hash: this is where the block already is
-            }
-            if self.walk.nodes.len() as u32 >= self.max_candidates {
-                break;
-            }
-            let row = if rows_cacheable && (way as usize) < FRAME_WAYS {
-                u64::from(cached_rows[way as usize])
-            } else {
-                self.row_of(baddr, way)
-            };
-            debug_assert_eq!(row, self.row_of(baddr, way), "stale block row");
-            let slot = self.slot(way, row);
-            // A slot already on this path would make the relocation chain
-            // touch the same frame twice; skip it (repeats across sibling
-            // branches remain allowed, as in the paper).
-            let on_path = self.walk.ancestors.contains(&slot);
-            debug_assert_eq!(
-                on_path,
-                self.walk.slot_on_path(node_idx, slot),
-                "ancestor-buffer scan must agree with the reference"
-            );
-            if on_path {
-                self.walk.stats.path_dups_skipped += 1;
-                continue;
-            }
-            let addr = self.frames[slot.idx()].tag;
-            if addr != INVALID_TAG {
-                if let Some(b) = self.bloom.as_mut() {
-                    if b.test_and_insert(addr) {
-                        self.walk.stats.bloom_skipped += 1;
-                        continue;
-                    }
-                }
-            }
-            let child = WalkNode {
-                addr,
-                slot,
-                parent: node_idx,
-                way: way as u8,
-                level: node.level + 1,
-            };
-            self.walk.nodes.push(child);
-            pushed += 1;
-            if addr == INVALID_TAG {
-                found_empty = true;
-                break;
-            }
-        }
-        if pushed > 0 {
-            // All children sit one level below the parent; fold the stats
-            // once per expansion instead of once per child.
-            self.walk.stats.tag_reads += pushed;
-            let child_level = u32::from(node.level) + 1;
-            self.walk.stats.levels = self.walk.stats.levels.max(child_level + 1);
-        }
-        found_empty
-    }
-
-    /// Issues read prefetches for every child frame that expanding the
-    /// walk nodes in `lo..hi` will touch. Purely a hint: no stats, no
-    /// state, no reads that can fault (rows come from the parents' own
-    /// frame records, which the walk has already read).
-    #[inline]
-    fn prefetch_children(&self, lo: usize, hi: usize) {
-        for i in lo..hi {
-            let node = self.walk.nodes[i];
-            if node.addr == INVALID_TAG {
-                continue;
-            }
-            let rows = self.frames[node.slot.idx()].rows;
-            for (way, &row) in rows.iter().enumerate().take(self.ways as usize) {
-                if way != usize::from(node.way) {
-                    let slot = self.slot(way as u32, u64::from(row));
-                    prefetch_read(&self.frames[slot.idx()]);
-                }
-            }
+    /// The expansion kernel over this array and its walk table, whose
+    /// columns must already hold every node the next expansions write.
+    fn expander(&mut self) -> Expander<'_> {
+        let len = self.walk.slot.len();
+        let cached = self.rows_cacheable();
+        Expander {
+            frames: &self.frames,
+            hashers: &self.hashers,
+            bloom: self.bloom.as_mut(),
+            row_bits: self.row_bits,
+            ways: self.ways,
+            cached,
+            slot: &mut self.walk.slot[..len],
+            tag: &mut self.walk.tag[..len],
+            parent: &mut self.walk.parent[..len],
+            stats: &mut self.walk.stats,
         }
     }
 
-    /// [`expand`](Self::expand) specialized for the common 4-way shape
-    /// with cached rows, no Bloom filter, and at least three candidates
-    /// of headroom under the cap (the caller checks): all three child
-    /// slots are computed and their tags loaded *before* the per-child
-    /// bookkeeping, so the three independent (prefetched) tag reads
-    /// overlap instead of serializing behind the dedup/push branches.
-    /// Child order, dedup decisions, stats, and the empty-frame early
-    /// stop are bit-identical to the scalar loop.
-    fn expand4(&mut self, node_idx: u32) -> bool {
-        let node = self.walk.nodes[node_idx as usize];
-        if node.addr == INVALID_TAG {
-            return false; // empty frames have no block to rehash
-        }
-        // Ancestor slots in a stack array (the caller guarantees the
-        // walk is at most `EXPAND4_MAX_LEVELS` deep): one chase per
-        // parent, and the per-child dedup scan below touches registers
-        // and the stack, never the heap.
-        let mut path = [u32::MAX; EXPAND4_MAX_LEVELS];
-        let depth = {
-            let mut d = 0usize;
-            let mut i = node_idx;
-            loop {
-                let n = &self.walk.nodes[i as usize];
-                path[d] = n.slot.0;
-                d += 1;
-                if n.parent == NO_PARENT {
-                    break;
-                }
-                i = n.parent;
-            }
-            d
-        };
-        let rows = self.frames[node.slot.idx()].rows;
-        let mut slots = [SlotId(0); FRAME_WAYS];
-        for (w, s) in slots.iter_mut().enumerate() {
-            *s = self.slot(w as u32, u64::from(rows[w]));
-        }
-        // Independent loads, issued together; reading the parent's own
-        // way too is free (that line is already warm) and keeps the
-        // array indexing branch-free.
-        let tags = slots.map(|s| self.frames[s.idx()].tag);
-        let pway = usize::from(node.way);
-        let mut found_empty = false;
-        let mut pushed = 0u32;
-        for way in 0..FRAME_WAYS {
-            if way == pway {
-                continue;
-            }
-            let slot = slots[way];
-            debug_assert_eq!(
-                u64::from(slot.0) % self.rows,
-                self.row_of(node.addr, way as u32)
-            );
-            let on_path = path[..depth].contains(&slot.0);
-            debug_assert_eq!(
-                on_path,
-                self.walk.slot_on_path(node_idx, slot),
-                "ancestor-buffer scan must agree with the reference"
-            );
-            if on_path {
-                self.walk.stats.path_dups_skipped += 1;
-                continue;
-            }
-            let addr = tags[way];
-            self.walk.nodes.push(WalkNode {
-                addr,
-                slot,
-                parent: node_idx,
-                way: way as u8,
-                level: node.level + 1,
-            });
-            pushed += 1;
-            if addr == INVALID_TAG {
-                found_empty = true;
-                break;
-            }
-        }
-        if pushed > 0 {
-            self.walk.stats.tag_reads += pushed;
-            let child_level = u32::from(node.level) + 1;
-            self.walk.stats.levels = self.walk.stats.levels.max(child_level + 1);
-        }
-        found_empty
-    }
-
-    /// The replacement walk behind [`CacheArray::candidates`].
-    fn walk_core(&mut self, addr: LineAddr, out: &mut CandidateSet) {
-        out.clear();
-        // Match the walk table's pre-sizing so a caller-provided set
-        // reaches steady state after its first walk.
-        out.reserve(self.walk.nodes.capacity());
+    /// The replacement walk: fills the walk table for `addr` (the
+    /// candidates of §III-A, in discovery order) and its statistics.
+    fn walk(&mut self, addr: LineAddr) {
         self.walk.clear(addr);
         if let Some(b) = self.bloom.as_mut() {
             b.clear();
         }
+        let ways = self.ways as usize;
 
         // Level 0: the W first-level candidates (also what a lookup
         // reads — and, on the access path, the rows the preceding
         // `lookup_mut` already hashed and stashed).
-        let probed = (self.ways == 4 && self.probe.0 == addr).then_some(self.probe.1);
-        // Index of the first empty-frame node, tracked while walking so
-        // the mirror pass below never rescans: an empty frame is either
-        // among the roots (the walk then goes no deeper) or the early-
-        // stopping last node an expansion pushed.
-        let mut first_empty_idx = u32::MAX;
-        let mut found_empty = false;
+        let probed = (ways == FRAME_WAYS && self.probe.0 == addr).then_some(self.probe.1);
+        let mut first_empty = u32::MAX;
         for way in 0..self.ways {
             let row = match probed {
                 Some(rows) => u64::from(rows[way as usize]),
@@ -517,108 +371,57 @@ impl ZArray {
             };
             debug_assert_eq!(row, self.row_of(addr, way), "stale probe memo");
             let slot = self.slot(way, row);
-            let a = self.frames[slot.idx()].tag;
-            self.walk.nodes.push(WalkNode {
-                addr: a,
-                slot,
-                parent: NO_PARENT,
-                way: way as u8,
-                level: 0,
-            });
-            self.walk.stats.tag_reads += 1;
-            if a == INVALID_TAG {
-                if !found_empty {
-                    first_empty_idx = self.walk.nodes.len() as u32 - 1;
-                }
-                found_empty = true;
+            let tag = self.frames[slot.idx()].tag;
+            self.walk.set(way as usize, slot, tag, NO_PARENT);
+            if tag == INVALID_TAG {
+                first_empty = first_empty.min(way);
             } else if let Some(b) = self.bloom.as_mut() {
-                b.insert(a);
+                b.insert(tag);
             }
         }
-        self.walk.stats.levels = 1;
+        let mut n = ways;
+        let mut levels = 1;
 
-        if !found_empty && self.levels > 1 {
+        if first_empty == u32::MAX && self.levels > 1 {
             match self.walk_kind {
                 WalkKind::Bfs => {
-                    // Level-batched expansion: the frontier is contiguous
-                    // in the walk table (insertion order is BFS order), so
-                    // each iteration takes one whole level, gathers the
-                    // child frames the level will read, and expands node
-                    // by node with the exact per-node semantics of the
-                    // scalar loop (depth and cap checks, empty-frame
-                    // early stop).
-                    //
-                    // Under `walk-prefetch` (an off-by-default ablation
-                    // knob), child-frame prefetches run one *block* of
-                    // parents ahead of the expansion, not one whole
-                    // level: a level can be 100+ parents wide, and a
-                    // burst of hundreds of prefetches overruns the
-                    // handful of hardware fill buffers (measured slower
-                    // on Z4/160); a block keeps roughly `3·PF_BLOCK`
-                    // lines in flight. The feature is off by default
-                    // because even the blocked form measures slower than
-                    // the batched expander alone — every frame a level
-                    // expands is already warm from the tag read that
-                    // discovered it (tag and row vector share the
-                    // 16-byte record), so the hints only add issue
-                    // pressure. See EXPERIMENTS.md "Walk cost".
-                    const PF_BLOCK: usize = 8;
-                    let prefetchable = cfg!(feature = "walk-prefetch")
-                        && self.rows_cacheable()
-                        && self.ways as usize <= FRAME_WAYS;
-                    let fast4 = self.ways as usize == FRAME_WAYS
-                        && self.rows_cacheable()
-                        && self.bloom.is_none()
-                        && self.levels as usize <= EXPAND4_MAX_LEVELS;
-                    let mut level_start = 0usize;
-                    'walk: loop {
-                        let level_end = self.walk.nodes.len();
-                        if level_start == level_end {
-                            break; // previous level expanded to nothing
+                    // Level by level: the frontier `lo..hi` is contiguous
+                    // in the table (discovery order is BFS order).
+                    let fast4 = ways == FRAME_WAYS && self.rows_cacheable() && self.bloom.is_none();
+                    let cap = self.max_candidates as usize;
+                    let (mut lo, mut hi) = (0, n);
+                    let mut child_level = 1;
+                    'walk: while child_level < self.levels && lo < hi {
+                        // Room for every child this level can add.
+                        let most = n + (hi - lo) * (ways - 1);
+                        let need = cap.min(most);
+                        if need > self.walk.slot.len() {
+                            self.walk.grow(need);
                         }
-                        // All nodes in a level share its depth.
-                        if u32::from(self.walk.nodes[level_start].level) + 1 >= self.levels {
-                            break;
-                        }
-                        if prefetchable {
-                            self.prefetch_children(
-                                level_start,
-                                (level_start + PF_BLOCK).min(level_end),
-                            );
-                        }
-                        let mut block = level_start;
-                        while block < level_end {
-                            let block_end = (block + PF_BLOCK).min(level_end);
-                            if prefetchable {
-                                self.prefetch_children(
-                                    block_end,
-                                    (block_end + PF_BLOCK).min(level_end),
-                                );
+                        // The fast path needs no cap checks: every child
+                        // of this level fits under the cap.
+                        let fast = fast4 && most <= cap;
+                        let mut k = self.expander();
+                        for i in lo..hi {
+                            if n >= cap {
+                                break 'walk;
                             }
-                            for i in block..block_end {
-                                let len = self.walk.nodes.len() as u32;
-                                if len >= self.max_candidates {
-                                    break 'walk;
-                                }
-                                // `expand4` needs full headroom under the
-                                // cap (it never checks mid-parent); a
-                                // parent that could hit the cap takes the
-                                // scalar path, whose per-child check
-                                // matches it exactly.
-                                let empty = if fast4 && len + 3 <= self.max_candidates {
-                                    self.expand4(i as u32)
-                                } else {
-                                    self.expand(i as u32)
-                                };
-                                if empty {
-                                    first_empty_idx = self.walk.nodes.len() as u32 - 1;
-                                    break 'walk;
-                                }
+                            let (next, empty) = if fast {
+                                k.expand::<true>(i, n, cap)
+                            } else {
+                                k.expand::<false>(i, n, cap)
+                            };
+                            n = next;
+                            if empty {
+                                first_empty = n as u32 - 1;
+                                break 'walk;
                             }
-                            block = block_end;
                         }
-                        level_start = level_end;
+                        (lo, hi) = (hi, n);
+                        child_level += 1;
                     }
+                    // Nodes are in nondecreasing level order.
+                    levels = self.walk.level(n as u32 - 1) + 1;
                 }
                 WalkKind::Dfs => {
                     // Cuckoo order: follow one chain as deep as the
@@ -627,46 +430,178 @@ impl ZArray {
                     // compare equal associativity.
                     let budget = super::walk::replacement_candidates(self.ways, self.levels)
                         .min(u64::from(self.max_candidates))
-                        as u32;
-                    // Clamp expand()'s candidate cap so a single expansion
-                    // cannot overshoot the DFS budget.
-                    let saved_cap = self.max_candidates;
-                    self.max_candidates = budget;
+                        as usize;
                     self.walk.stack.clear();
-                    self.walk
-                        .stack
-                        .extend((0..self.walk.nodes.len() as u32).rev());
-                    while let Some(idx) = self.walk.stack.pop() {
-                        if self.walk.nodes.len() as u32 >= budget {
+                    self.walk.stack.extend((0..n as u32).rev().map(|i| (i, 0)));
+                    while let Some((i, level)) = self.walk.stack.pop() {
+                        if n >= budget {
                             break;
                         }
-                        let before = self.walk.nodes.len() as u32;
-                        if self.expand(idx) {
-                            first_empty_idx = self.walk.nodes.len() as u32 - 1;
+                        if n + ways > self.walk.slot.len() {
+                            self.walk.grow(n + ways);
+                        }
+                        let before = n;
+                        let (next, empty) = self.expander().expand::<false>(i as usize, n, budget);
+                        n = next;
+                        if n > before {
+                            levels = levels.max(level + 2);
+                        }
+                        if empty {
+                            first_empty = n as u32 - 1;
                             break;
                         }
                         // Push new children so the most recent is expanded
                         // first (depth-first).
-                        for child in (before..self.walk.nodes.len() as u32).rev() {
-                            self.walk.stack.push(child);
+                        for child in (before..n).rev() {
+                            self.walk.stack.push((child as u32, level + 1));
                         }
                     }
                     self.walk.stack.clear();
-                    self.max_candidates = saved_cap;
                 }
             }
         }
 
-        self.walk.stats.candidates = self.walk.nodes.len() as u32;
+        self.walk.len = n;
+        self.walk.first_empty = first_empty;
+        // One tag read discovers one node.
+        self.walk.stats.candidates = n as u32;
+        self.walk.stats.tag_reads = n as u32;
+        self.walk.stats.levels = levels;
+    }
 
-        // Mirror the finished walk table into the caller's candidate set
-        // in one dense pass. Token `i` is the node's table index, exactly
-        // as interleaved pushes would have produced; deferring it keeps
-        // the expansion loop free of the second (24-byte-per-node) write
-        // stream.
-        out.extend_from_nodes(&self.walk.nodes, first_empty_idx);
-        out.levels = self.walk.stats.levels;
-        out.tag_reads = self.walk.stats.tag_reads;
+    /// Candidate record of walk node `i` (its token is its index).
+    #[inline]
+    fn candidate(&self, i: usize) -> Candidate {
+        Candidate {
+            slot: self.walk.slot[i],
+            addr: tag_opt(self.walk.tag[i]),
+            token: i as u32,
+        }
+    }
+}
+
+#[inline]
+fn tag_opt(tag: u64) -> Option<LineAddr> {
+    (tag != INVALID_TAG).then_some(tag)
+}
+
+/// Slot id no frame has (`lines` fits in a `u32`, so the largest slot
+/// id is `u32::MAX - 1`).
+const NO_SLOT: SlotId = SlotId(u32::MAX);
+
+/// The walk's expansion kernel: the frame array and the walk table's
+/// columns as plain local slices, all columns of one length. Built per
+/// BFS level, so the expansion loop keeps geometry and column bases in
+/// registers instead of reloading them through `self` after every
+/// store.
+struct Expander<'a> {
+    frames: &'a [Frame],
+    hashers: &'a [AnyHasher],
+    bloom: Option<&'a mut BloomFilter>,
+    row_bits: u32,
+    ways: u32,
+    /// Whether frames cache their block's rows (see [`Frame`]).
+    cached: bool,
+    slot: &'a mut [SlotId],
+    tag: &'a mut [u64],
+    parent: &'a mut [u32],
+    stats: &'a mut WalkStats,
+}
+
+impl Expander<'_> {
+    /// Expands walk node `i`, writing its children from index `n` on
+    /// (at most `cap` nodes in all). Returns the new node count and
+    /// whether the last child written is an empty frame — a perfect
+    /// victim, so callers stop the walk there.
+    ///
+    /// `FAST` is the common 4-way shape with cached rows and no Bloom
+    /// filter, on a level whose children all fit under the cap: the
+    /// child rows come straight from the parent's frame record, the loop
+    /// has a fixed trip count and no cap check. Otherwise rows the frame
+    /// cannot cache are rehashed, the Bloom filter (if any) drops
+    /// repeated blocks, and `cap` is checked before each child. Child
+    /// order, dedup decisions and stats do not depend on `FAST`.
+    #[inline(always)]
+    fn expand<const FAST: bool>(&mut self, i: usize, mut n: usize, cap: usize) -> (usize, bool) {
+        let baddr = self.tag[i];
+        if baddr == INVALID_TAG {
+            return (n, false); // empty frames have no block to rehash
+        }
+        let pslot = self.slot[i];
+        let pway = pslot.0 >> self.row_bits;
+        // A slot already on this path would make the relocation chain
+        // touch the same frame twice; such children are skipped
+        // (repeats across sibling branches remain allowed, as in the
+        // paper). The parent sits in another way than all of its
+        // children, so only the ancestors above it can repeat a child's
+        // frame: the grandparent is checked directly, anything higher
+        // (walks deeper than three levels) by a parent chase.
+        let grandparent = self.parent[i];
+        let (gslot, above) = if grandparent == NO_PARENT {
+            (NO_SLOT, NO_PARENT)
+        } else {
+            let g = grandparent as usize;
+            (self.slot[g], self.parent[g])
+        };
+        // The resident block's row vector was cached next to its tag at
+        // install time; the line is warm from the tag read that created
+        // this node, so the W−1 rehashes of §III-A cost nothing here.
+        let rows = self.frames[pslot.idx()].rows;
+        let ways = if FAST { FRAME_WAYS as u32 } else { self.ways };
+        // Every way but the parent's own (where the block already is), in
+        // ascending order.
+        for k in 0..ways - 1 {
+            let way = k + u32::from(k >= pway);
+            if !FAST && n >= cap {
+                break;
+            }
+            let row = if (FAST || self.cached) && (way as usize) < FRAME_WAYS {
+                u32::from(rows[way as usize])
+            } else {
+                self.hashers[way as usize].index(baddr, self.row_bits) as u32
+            };
+            debug_assert_eq!(
+                u64::from(row),
+                self.hashers[way as usize].index(baddr, self.row_bits),
+                "stale block row"
+            );
+            let slot = SlotId(way << self.row_bits | row);
+            let dup = slot == gslot || (above != NO_PARENT && self.on_path(above, slot));
+            debug_assert_eq!(dup, self.on_path(i as u32, slot), "ancestor dedup");
+            if dup {
+                self.stats.path_dups_skipped += 1;
+                continue;
+            }
+            let tag = self.frames[slot.idx()].tag;
+            if !FAST && tag != INVALID_TAG {
+                if let Some(b) = self.bloom.as_deref_mut() {
+                    if b.test_and_insert(tag) {
+                        self.stats.bloom_skipped += 1;
+                        continue;
+                    }
+                }
+            }
+            self.slot[n] = slot;
+            self.tag[n] = tag;
+            self.parent[n] = i as u32;
+            n += 1;
+            if tag == INVALID_TAG {
+                return (n, true);
+            }
+        }
+        (n, false)
+    }
+
+    /// True if `slot` is the frame of node `a` or of one of its
+    /// ancestors.
+    fn on_path(&self, mut a: u32, slot: SlotId) -> bool {
+        while a != NO_PARENT {
+            if self.slot[a as usize] == slot {
+                return true;
+            }
+            a = self.parent[a as usize];
+        }
+        false
     }
 }
 
@@ -761,12 +696,50 @@ impl CacheArray for ZArray {
     }
 
     fn addr_at(&self, slot: SlotId) -> Option<LineAddr> {
-        let t = self.frames[slot.idx()].tag;
-        (t != INVALID_TAG).then_some(t)
+        tag_opt(self.frames[slot.idx()].tag)
     }
 
     fn candidates(&mut self, addr: LineAddr, out: &mut CandidateSet) {
-        self.walk_core(addr, out);
+        self.walk(addr);
+        self.rebuild_candidates(out);
+    }
+
+    /// The walk, then victim selection straight off the walk table: the
+    /// policy scores the dense slot column in one call and no candidate
+    /// record is built, except for policies whose select prepass
+    /// ([`before_select`](ReplacementPolicy::before_select)) must see
+    /// them. The victim is the one the two-pass sequence picks.
+    fn candidates_select<P: ReplacementPolicy + ?Sized>(
+        &mut self,
+        addr: LineAddr,
+        policy: &mut P,
+        out: &mut CandidateSet,
+    ) -> (Candidate, WalkStats) {
+        self.walk(addr);
+        if policy.has_select_prepass() {
+            self.rebuild_candidates(out);
+            policy.before_select(out.as_slice());
+        }
+        let victim = if self.walk.first_empty != u32::MAX {
+            self.walk.first_empty as usize
+        } else {
+            let scores = &mut self.walk.scores;
+            scores.clear();
+            policy.score_slots(&self.walk.slot[..self.walk.len], scores);
+            max_first(scores).expect("walks are never empty")
+        };
+        (self.candidate(victim), self.walk.stats)
+    }
+
+    fn rebuild_candidates(&self, out: &mut CandidateSet) {
+        let n = self.walk.len;
+        out.fill_from_walk(
+            &self.walk.slot[..n],
+            &self.walk.tag[..n],
+            self.walk.first_empty,
+        );
+        out.levels = self.walk.stats.levels;
+        out.tag_reads = self.walk.stats.tag_reads;
     }
 
     fn install(&mut self, addr: LineAddr, victim: &Candidate, out: &mut InstallOutcome) {
@@ -776,20 +749,20 @@ impl CacheArray for ZArray {
             Some(addr),
             "install must follow a candidates() walk for the same address"
         );
-        let node = self
-            .walk
-            .nodes
-            .get(victim.token as usize)
-            .copied()
-            .unwrap_or_else(|| panic!("victim token {} not in walk table", victim.token));
-        assert_eq!(node.slot, victim.slot, "victim token/slot mismatch");
+        let token = victim.token as usize;
+        assert!(
+            token < self.walk.len,
+            "victim token {} not in walk table",
+            victim.token
+        );
+        let victim_slot = self.walk.slot[token];
+        assert_eq!(victim_slot, victim.slot, "victim token/slot mismatch");
 
         // Evict the victim (or fill the empty frame).
-        let pt = self.frames[node.slot.idx()].tag;
-        let prev = (pt != INVALID_TAG).then_some(pt);
+        let prev = tag_opt(self.frames[victim_slot.idx()].tag);
         debug_assert_eq!(prev, victim.addr, "stale candidate");
         out.evicted = prev;
-        out.evicted_slot = prev.map(|_| node.slot);
+        out.evicted_slot = prev.map(|_| victim_slot);
 
         // Relocate ancestors down the path: the parent's block moves into
         // the child's (now free) frame, level by level, until the root
@@ -798,8 +771,8 @@ impl CacheArray for ZArray {
         // nothing.
         self.walk.fill_path(victim.token);
         for k in 1..self.walk.path.len() {
-            let dst = self.walk.nodes[self.walk.path[k - 1] as usize].slot;
-            let src = self.walk.nodes[self.walk.path[k] as usize].slot;
+            let dst = self.walk.slot[self.walk.path[k - 1] as usize];
+            let src = self.walk.slot[self.walk.path[k] as usize];
             let moving = self.frames[src.idx()];
             debug_assert_ne!(moving.tag, INVALID_TAG, "relocating an empty frame");
             {
@@ -816,7 +789,7 @@ impl CacheArray for ZArray {
             out.moves.push((src, dst));
         }
         let root_slot =
-            self.walk.nodes[*self.walk.path.last().expect("path is never empty") as usize].slot;
+            self.walk.slot[*self.walk.path.last().expect("path is never empty") as usize];
         let mut root = Frame {
             tag: addr,
             rows: [0; FRAME_WAYS],
@@ -1043,8 +1016,8 @@ mod tests {
             }
         }
         // In a tiny array, the filter should actually skip repeats.
-        z.candidates(9_999, &mut cands);
-        assert!(z.last_walk_stats().bloom_skipped > 0 || cands.len() < 52);
+        let (_, walk) = z.candidates_select(9_999, &mut crate::FullLru::new(64), &mut cands);
+        assert!(walk.bloom_skipped > 0 || walk.candidates < 52);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The cache front-end: array + policy + statistics + instrumentation.
 
-use crate::array::{AnyArray, ArrayKind, CacheArray, CandidateSet, InstallOutcome};
+use crate::array::{AnyArray, ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::array::{FullyAssocArray, RandomCandsArray, SetAssocArray, SkewArray, ZArray};
 use crate::assoc::AssociativityMeter;
 use crate::repl::{AccessCtx, AnyPolicy, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
 use crate::types::LineAddr;
-use crate::WalkKind;
+use crate::{WalkKind, WalkStats};
 
 /// Outcome of a single cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +55,12 @@ pub struct Cache<A, P> {
     dirty: Vec<bool>,
     stats: CacheStats,
     meter: Option<AssociativityMeter>,
+    /// Scratch for victim selection; holds the candidate records only
+    /// when selection needed them or [`Cache::last_candidates`] rebuilt
+    /// them.
     cands: CandidateSet,
+    /// Walk summary of the most recent miss.
+    walk: WalkStats,
     install: InstallOutcome,
 }
 
@@ -70,6 +75,7 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
             stats: CacheStats::new(),
             meter: None,
             cands: CandidateSet::new(),
+            walk: WalkStats::default(),
             install: InstallOutcome::default(),
         }
     }
@@ -97,78 +103,9 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
     /// Full-control access: read/write plus the next-use annotation the
     /// OPT policy consumes (pass `u64::MAX` when unknown).
     pub fn access_full(&mut self, addr: LineAddr, write: bool, next_use: u64) -> AccessOutcome {
-        self.stats.accesses += 1;
-        let ctx = AccessCtx { next_use };
-
-        if let Some(slot) = self.array.lookup_mut(addr) {
-            self.stats.hits += 1;
-            self.stats.tag_reads += u64::from(self.array.ways());
-            if write {
-                self.stats.data_writes += 1;
-                self.dirty[slot.idx()] = true;
-            } else {
-                self.stats.data_reads += 1;
-            }
-            self.policy.on_hit(slot, addr, &ctx);
-            return AccessOutcome::HIT;
-        }
-
-        self.stats.misses += 1;
-        // Fused walk + selection: the victim is tracked while candidates
-        // stream out of the array (policies with a select prepass fall
-        // back to the two-pass sequence inside candidates_select).
-        let victim = self
-            .array
-            .candidates_select(addr, &mut self.policy, &mut self.cands);
-        self.stats.candidates_examined += self.cands.len() as u64;
-        self.stats.walk_levels += u64::from(self.cands.levels);
-        self.stats.tag_reads += u64::from(self.cands.tag_reads);
-
-        if victim.addr.is_some() {
-            if let Some(m) = self.meter.as_mut() {
-                m.on_eviction(&self.array, &self.policy, victim.slot);
-            }
-        }
-
-        self.array.install(addr, &victim, &mut self.install);
-
-        // Eviction bookkeeping must read the victim's dirty bit before any
-        // relocation overwrites that frame.
-        let mut evicted_dirty = false;
-        if let (Some(_), Some(slot)) = (self.install.evicted, self.install.evicted_slot) {
-            self.stats.evictions += 1;
-            evicted_dirty = self.dirty[slot.idx()];
-            if evicted_dirty {
-                self.stats.writebacks += 1;
-                self.stats.data_reads += 1; // read the line out for the write-back
-            }
-            self.policy.on_evict(slot);
-        }
-
-        // Relocations: policy state and dirty bits follow the blocks.
-        for &(from, to) in &self.install.moves {
-            self.policy.on_move(from, to);
-            self.dirty[to.idx()] = self.dirty[from.idx()];
-        }
-        let m = self.install.moves.len() as u64;
-        self.stats.relocations += m;
-        self.stats.tag_reads += m;
-        self.stats.tag_writes += m;
-        self.stats.data_reads += m;
-        self.stats.data_writes += m;
-
-        // Fill.
-        let filled = self.install.filled_slot;
-        self.dirty[filled.idx()] = write;
-        self.stats.tag_writes += 1;
-        self.stats.data_writes += 1;
-        self.policy.on_fill(filled, addr, &ctx);
-
-        AccessOutcome {
-            hit: false,
-            evicted: self.install.evicted,
-            evicted_dirty,
-        }
+        self.access_with(addr, write, next_use, |array, policy, cands| {
+            array.candidates_select(addr, policy, cands)
+        })
     }
 
     /// Like [`access_full`](Cache::access_full), but on a miss into a
@@ -199,7 +136,44 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         select: F,
     ) -> AccessOutcome
     where
-        F: FnOnce(&[crate::array::Candidate], &[u64]) -> usize,
+        F: FnOnce(&[Candidate], &[u64]) -> usize,
+    {
+        self.access_with(addr, write, next_use, |array, policy, cands| {
+            // The two-pass sequence `candidates_select` is pinned to:
+            // gather, prepass, then select. The custom selector slots in
+            // where the score scan would run.
+            array.candidates(addr, cands);
+            policy.before_select(cands.as_slice());
+            let victim = match cands.first_empty() {
+                Some(c) => *c,
+                None => {
+                    cands.compute_scores(policy);
+                    let idx = select(cands.as_slice(), cands.scores());
+                    assert!(
+                        idx < cands.len(),
+                        "selector index {idx} out of range for {} candidates",
+                        cands.len()
+                    );
+                    cands.as_slice()[idx]
+                }
+            };
+            (victim, cands.walk_stats())
+        })
+    }
+
+    /// The access path shared by [`access_full`](Cache::access_full) and
+    /// [`access_full_with`](Cache::access_full_with): `choose` runs on a
+    /// miss and returns the victim with the walk's summary.
+    #[inline(always)]
+    fn access_with<F>(
+        &mut self,
+        addr: LineAddr,
+        write: bool,
+        next_use: u64,
+        choose: F,
+    ) -> AccessOutcome
+    where
+        F: FnOnce(&mut A, &mut P, &mut CandidateSet) -> (Candidate, WalkStats),
     {
         self.stats.accesses += 1;
         let ctx = AccessCtx { next_use };
@@ -218,27 +192,11 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         }
 
         self.stats.misses += 1;
-        // The unfused sequence `candidates_select` is pinned to:
-        // gather, prepass, then select. The custom selector slots in
-        // where the score scan would run.
-        self.array.candidates(addr, &mut self.cands);
-        self.policy.before_select(self.cands.as_slice());
-        let victim = match self.cands.first_empty() {
-            Some(c) => *c,
-            None => {
-                self.cands.compute_scores(&self.policy);
-                let idx = select(self.cands.as_slice(), self.cands.scores());
-                assert!(
-                    idx < self.cands.len(),
-                    "selector index {idx} out of range for {} candidates",
-                    self.cands.len()
-                );
-                self.cands.as_slice()[idx]
-            }
-        };
-        self.stats.candidates_examined += self.cands.len() as u64;
-        self.stats.walk_levels += u64::from(self.cands.levels);
-        self.stats.tag_reads += u64::from(self.cands.tag_reads);
+        let (victim, walk) = choose(&mut self.array, &mut self.policy, &mut self.cands);
+        self.walk = walk;
+        self.stats.candidates_examined += u64::from(walk.candidates);
+        self.stats.walk_levels += u64::from(walk.levels);
+        self.stats.tag_reads += u64::from(walk.tag_reads);
 
         if victim.addr.is_some() {
             if let Some(m) = self.meter.as_mut() {
@@ -389,10 +347,18 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
     }
 
     /// Candidates gathered by the most recent miss (empty before the
-    /// first miss). Differential harnesses compare this against a
+    /// first miss), built on request: a zcache's access path builds no
+    /// candidate records. Differential harnesses compare this against a
     /// reference model's independently recomputed walk.
-    pub fn last_candidates(&self) -> &CandidateSet {
+    pub fn last_candidates(&mut self) -> &CandidateSet {
+        self.array.rebuild_candidates(&mut self.cands);
         &self.cands
+    }
+
+    /// Walk summary of the most recent miss — candidates, levels and
+    /// tag reads (all zero before the first miss).
+    pub fn last_walk(&self) -> WalkStats {
+        self.walk
     }
 
     /// Install outcome of the most recent miss, including the full

@@ -22,7 +22,7 @@
 //! stay exact across relocations without a side map.
 
 use crate::adaptive::{AdaptiveConfig, ShadowDuel};
-use crate::array::Candidate;
+use crate::array::{Candidate, CandidateSet};
 use crate::cache::{CacheBuilder, DynCache};
 use crate::repl::PolicyKind;
 use crate::types::LineAddr;
@@ -355,11 +355,18 @@ impl PartitionedCache {
     }
 
     /// The shared underlying cache (aggregate stats, walk introspection
-    /// via `last_candidates`/`last_install`, state digests). Resident
+    /// via `last_walk`/`last_install`, state digests). Resident
     /// addresses seen through it are tenant-tagged; decode with
     /// [`tenant_of`]/[`line_of`].
     pub fn cache(&self) -> &DynCache {
         &self.cache
+    }
+
+    /// Candidates gathered by the most recent miss, as
+    /// [`Cache::last_candidates`](crate::Cache::last_candidates) reports
+    /// them (addresses tenant-tagged).
+    pub fn last_candidates(&mut self) -> &CandidateSet {
+        self.cache.last_candidates()
     }
 
     /// Recomputes every tenant's occupancy exhaustively from the array
@@ -556,7 +563,7 @@ mod tests {
             let miss_before = c.tenant_stats(t).misses;
             c.access(t, rng.next_below(1_000), false);
             if c.tenant_stats(t).misses > miss_before && c.cache().occupancy() == 256 {
-                let n = c.cache().last_candidates().len();
+                let n = c.last_candidates().len();
                 if t == 1 {
                     assert!(n <= 4, "budget-4 tenant walked {n} candidates");
                 } else {

@@ -1,12 +1,11 @@
 //! Portable software-prefetch hints.
 //!
-//! The replacement walk's expansion pattern is known one BFS level ahead
-//! of the tag reads that consume it (see `ZArray::walk_core`), which is
-//! exactly the window a non-binding prefetch needs. This module wraps the
-//! x86-64 `prefetcht0` intrinsic in a safe, zero-cost shim that compiles
-//! to nothing on other targets. Whether the *walk* issues these hints is
-//! a separate knob — the `walk-prefetch` feature, the ablation measured
-//! in EXPERIMENTS.md.
+//! Wraps the x86-64 `prefetcht0` intrinsic in a safe, zero-cost shim that
+//! compiles to nothing on other targets. `SetAssocArray::prefetch_lookup`
+//! uses it to overlap independent tag reads. The replacement walk issues
+//! no hints: prefetching its next BFS level measured slower, because each
+//! frame it expands is already warm from the tag read that found it (see
+//! "Walk cost" in EXPERIMENTS.md).
 
 /// Hints the CPU to pull the cache line holding `r` into the cache
 /// hierarchy for a future read. Purely a performance hint: it never

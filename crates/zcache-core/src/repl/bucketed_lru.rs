@@ -98,12 +98,12 @@ impl ReplacementPolicy for BucketedLru {
         u64::from(self.counter.wrapping_sub(self.timestamps[slot.idx()]) & self.mask)
     }
 
-    fn score_many(&self, cands: &[super::Candidate], out: &mut Vec<u64>) {
+    fn score_slots(&self, slots: &[SlotId], out: &mut Vec<u64>) {
         let (counter, mask) = (self.counter, self.mask);
         out.extend(
-            cands
+            slots
                 .iter()
-                .map(|c| u64::from(counter.wrapping_sub(self.timestamps[c.slot.idx()]) & mask)),
+                .map(|s| u64::from(counter.wrapping_sub(self.timestamps[s.idx()]) & mask)),
         );
     }
 }

@@ -59,8 +59,8 @@ impl ReplacementPolicy for Lfu {
         u64::MAX - self.counts[slot.idx()]
     }
 
-    fn score_many(&self, cands: &[super::Candidate], out: &mut Vec<u64>) {
-        out.extend(cands.iter().map(|c| u64::MAX - self.counts[c.slot.idx()]));
+    fn score_slots(&self, slots: &[SlotId], out: &mut Vec<u64>) {
+        out.extend(slots.iter().map(|s| u64::MAX - self.counts[s.idx()]));
     }
 }
 

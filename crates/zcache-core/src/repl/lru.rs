@@ -67,15 +67,11 @@ impl ReplacementPolicy for FullLru {
         self.counter - self.timestamps[slot.idx()]
     }
 
-    fn score_many(&self, cands: &[super::Candidate], out: &mut Vec<u64>) {
+    fn score_slots(&self, slots: &[SlotId], out: &mut Vec<u64>) {
         // Hoist the counter load out of the loop; the body is a single
-        // subtract per candidate.
+        // subtract per slot.
         let counter = self.counter;
-        out.extend(
-            cands
-                .iter()
-                .map(|c| counter - self.timestamps[c.slot.idx()]),
-        );
+        out.extend(slots.iter().map(|s| counter - self.timestamps[s.idx()]));
     }
 }
 

@@ -71,11 +71,10 @@ pub trait ReplacementPolicy {
     /// with selection-time state updates (e.g. RRIP aging) use this.
     fn before_select(&mut self, _cands: &[Candidate]) {}
 
-    /// Whether [`before_select`](Self::before_select) mutates policy
-    /// state. Arrays fuse candidate production with victim selection
-    /// only for policies without a select-time prepass — a mutating
-    /// prepass must observe the *complete* candidate set before any
-    /// score is read.
+    /// Whether [`before_select`](Self::before_select) does anything.
+    /// The [`ZArray`](crate::ZArray) access path builds candidate records
+    /// only for policies with a select-time prepass — a prepass must
+    /// observe the *complete* candidate set before any score is read.
     fn has_select_prepass(&self) -> bool {
         false
     }
@@ -84,15 +83,17 @@ pub trait ReplacementPolicy {
     /// evicted first. Only called for occupied slots.
     fn score(&self, slot: SlotId) -> u64;
 
-    /// Batched scoring: appends one score per candidate to `out`, in
-    /// candidate order.
+    /// Batched scoring: appends the score of every slot in `slots` to
+    /// `out`, in order. Victim selection scores a miss's whole candidate
+    /// slot column with one call.
     ///
     /// Must agree element-wise with [`score`](Self::score) — including
-    /// on empty-frame candidates, even though selection short-circuits
-    /// on those before comparing scores. Policies override it to hoist
-    /// per-call state loads out of the loop on the miss hot path.
-    fn score_many(&self, cands: &[Candidate], out: &mut Vec<u64>) {
-        out.extend(cands.iter().map(|c| self.score(c.slot)));
+    /// on the slots of empty frames, even though selection
+    /// short-circuits on those before comparing scores. Policies
+    /// override it to hoist per-call state loads out of the loop on the
+    /// miss hot path.
+    fn score_slots(&self, slots: &[SlotId], out: &mut Vec<u64>) {
+        out.extend(slots.iter().map(|&s| self.score(s)));
     }
 }
 
@@ -266,9 +267,9 @@ impl ReplacementPolicy for AnyPolicy {
         delegate!(self, p => p.score(slot))
     }
     #[inline]
-    fn score_many(&self, cands: &[Candidate], out: &mut Vec<u64>) {
+    fn score_slots(&self, slots: &[SlotId], out: &mut Vec<u64>) {
         // Dispatch the enum once per miss instead of once per candidate.
-        delegate!(self, p => p.score_many(cands, out))
+        delegate!(self, p => p.score_slots(slots, out))
     }
 }
 

@@ -1,19 +1,19 @@
 //! Steady-state allocation audit for the zcache hot path.
 //!
-//! The miss path (`lookup` → `candidates` → `install`) is the
+//! The miss path (`lookup` → walk → select → `install`) is the
 //! simulator's inner loop; after warm-up it must not touch the heap.
 //! A global allocator counting per thread makes that a hard test
-//! rather than a bench note: the walk table, its path/stack buffers,
-//! the caller's `CandidateSet` and the `InstallOutcome` move list are
-//! all reusable buffers that reach their steady-state capacity during
-//! warm-up.
+//! rather than a bench note: the walk table's columns, its path, stack
+//! and score buffers, the caller's `CandidateSet` and the
+//! `InstallOutcome` move list are all reusable buffers that reach their
+//! steady-state capacity during warm-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use zcache_core::{
-    CacheArray, CandidateSet, InstallOutcome, PartitionConfig, PartitionedCache, PolicyKind,
-    TenantGrant, WalkKind, ZArray,
+    ArrayKind, CacheArray, CacheBuilder, CandidateSet, InstallOutcome, PartitionConfig,
+    PartitionedCache, PolicyKind, TenantGrant, WalkKind, ZArray,
 };
 
 struct CountingAlloc;
@@ -99,11 +99,40 @@ fn dfs_install_path_is_allocation_free() {
     );
 }
 
+/// The cache's own access path: `Cache::access_full` on a `DynCache`
+/// Z4/52 under LRU selects victims straight off the walk table, and
+/// neither that nor the enum dispatch may allocate.
+#[test]
+fn dyn_cache_miss_path_is_allocation_free() {
+    let mut cache = CacheBuilder::new()
+        .lines(1 << 10)
+        .ways(4)
+        .array(ArrayKind::ZCache { levels: 3 })
+        .policy(PolicyKind::Lru)
+        .seed(7)
+        .build();
+    let drive = |cache: &mut zcache_core::DynCache, lo: u64, steps: u64| {
+        for a in lo..lo + steps {
+            // Fresh addresses: every access misses into a full array.
+            assert!(cache.access_full(a, a % 3 == 0, u64::MAX).is_miss());
+        }
+    };
+    drive(&mut cache, 0, 4_000);
+    let before = allocs();
+    drive(&mut cache, 1_000_000, 2_000);
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "DynCache steady-state miss path allocated {} time(s)",
+        after - before
+    );
+}
+
 /// The multi-tenant wrapper layers quota-aware victim selection (a
 /// closure over the candidate/score slices) and per-tenant bookkeeping
 /// on top of the walk; none of it may allocate once the shared array's
-/// buffers — including the walk table's ancestor buffer the batched
-/// expansion scans — reach steady-state capacity.
+/// buffers reach steady-state capacity.
 #[test]
 fn partitioned_access_path_is_allocation_free() {
     let cfg = PartitionConfig::new(
@@ -119,8 +148,8 @@ fn partitioned_access_path_is_allocation_free() {
             },
             TenantGrant {
                 quota: 300,
-                // A capped walk exercises the scalar-tail path next to
-                // the expand4 fast path.
+                // A capped walk exercises the walk's cap checks next to
+                // the uncapped tenant's full walks.
                 walk_budget: 20,
             },
         ],

@@ -1,18 +1,23 @@
-//! Property test: the batched [`ReplacementPolicy::score_many`] fast
-//! path must agree element-wise with per-candidate
+//! Property test: the batched [`ReplacementPolicy::score_slots`] fast
+//! path must agree element-wise with per-slot
 //! [`ReplacementPolicy::score`] for every policy, under arbitrary access
 //! histories.
 //!
-//! The fused victim selection in `CandidateSet::select_with` trusts
-//! `score_many` completely — a policy whose override drifts from its
+//! Victim selection — `CandidateSet::select_with` and the zcache access
+//! path, which scores the walk table's slot column directly — trusts
+//! `score_slots` completely: a policy whose override drifts from its
 //! scalar `score` would silently change eviction decisions, so this
-//! property is what keeps the batched path conformant.
+//! property is what keeps the batched path conformant. The same cases
+//! check that `select_with` picks the victim of the scalar
+//! [`select_victim`](zcache_core::select_victim) scan.
 //!
-//! [`ReplacementPolicy::score_many`]: zcache_core::ReplacementPolicy::score_many
+//! [`ReplacementPolicy::score_slots`]: zcache_core::ReplacementPolicy::score_slots
 //! [`ReplacementPolicy::score`]: zcache_core::ReplacementPolicy::score
 
 use proptest::prelude::*;
-use zcache_core::{AccessCtx, Candidate, PolicyKind, ReplacementPolicy, SlotId};
+use zcache_core::{
+    select_victim, AccessCtx, Candidate, CandidateSet, PolicyKind, ReplacementPolicy, SlotId,
+};
 
 const LINES: u64 = 64;
 
@@ -48,14 +53,14 @@ fn events() -> impl Strategy<Value = Vec<Event>> {
 }
 
 fn cand_slots() -> impl Strategy<Value = Vec<(u8, bool)>> {
-    // (slot, occupied): empty candidates carry `addr: None`, which
-    // `score_many` must score exactly like `score` does.
+    // (slot, occupied): empty candidates carry `addr: None`, whose slots
+    // `score_slots` must score exactly like `score` does.
     prop::collection::vec((any::<u8>(), any::<bool>()), 1..52)
 }
 
 proptest! {
     #[test]
-    fn score_many_matches_score_elementwise(
+    fn score_slots_matches_score_elementwise(
         evs in events(),
         cands in cand_slots(),
         seed in 0..u64::MAX,
@@ -81,13 +86,24 @@ proptest! {
                     token: i as u32,
                 })
                 .collect();
+            let slots: Vec<SlotId> = set.iter().map(|c| c.slot).collect();
             let mut batched = Vec::new();
-            p.score_many(&set, &mut batched);
-            let scalar: Vec<u64> = set.iter().map(|c| p.score(c.slot)).collect();
+            p.score_slots(&slots, &mut batched);
+            let scalar: Vec<u64> = slots.iter().map(|&s| p.score(s)).collect();
             prop_assert_eq!(
                 &batched,
                 &scalar,
-                "policy {} diverged between score_many and score",
+                "policy {} diverged between score_slots and score",
+                name
+            );
+            let mut cs = CandidateSet::new();
+            for &c in &set {
+                cs.push(c);
+            }
+            prop_assert_eq!(
+                cs.select_with(&p),
+                select_victim(&p, &set),
+                "policy {} selected a different victim",
                 name
             );
         }

@@ -1,14 +1,14 @@
 //! Candidate-order regression lock for the replacement walk.
 //!
-//! The level-batched walk (and its `expand4` fast path) must be
+//! The walk kernel (and its 4-way fast path) must be
 //! *semantics-invisible*: the exact candidate sequence — slot, resident
 //! address and token of every node, in emission order — decides which
 //! victim every policy picks, so any reordering silently changes every
 //! downstream figure. This test drives a mixed hit/miss/install stream
-//! from fixed seeds through each walk shape (both `expand4`-eligible
-//! and scalar-fallback configurations, BFS and DFS, Bloom on and off,
-//! capped and uncapped) and folds every candidate the array ever emits
-//! into a digest that is pinned here.
+//! from fixed seeds through each walk shape (both fast-path-eligible
+//! and general configurations, BFS and DFS, Bloom on and off, capped
+//! and uncapped) and folds every candidate the array ever emits into a
+//! digest that is pinned here.
 //!
 //! The pinned values were produced by the pre-batching scalar walker;
 //! the batched walker must reproduce them bit for bit. If an
@@ -34,7 +34,7 @@ struct Shape {
 }
 
 const SHAPES: &[Shape] = &[
-    // The expand4 fast path: 4 ways, cached rows, no Bloom.
+    // The fast path: 4 ways, cached rows, no Bloom.
     Shape {
         name: "z2",
         ways: 4,
@@ -59,8 +59,7 @@ const SHAPES: &[Shape] = &[
         bloom: false,
         max_candidates: None,
     },
-    // A cap forces the tail of each level through the scalar loop
-    // (expand4 needs 3 slots of headroom) and exercises mid-level stops.
+    // A cap exercises mid-expansion and mid-level stops.
     Shape {
         name: "z4-cap100",
         ways: 4,
@@ -77,7 +76,7 @@ const SHAPES: &[Shape] = &[
         bloom: false,
         max_candidates: Some(5),
     },
-    // Bloom dedup disables expand4 entirely.
+    // Bloom dedup takes the general expansion path.
     Shape {
         name: "z3-bloom",
         ways: 4,
@@ -86,7 +85,7 @@ const SHAPES: &[Shape] = &[
         bloom: true,
         max_candidates: None,
     },
-    // Non-4-way shapes: the scalar loop with and without cached rows.
+    // Non-4-way shapes: the general path with and without cached rows.
     Shape {
         name: "w3-l3",
         ways: 3,
@@ -103,7 +102,7 @@ const SHAPES: &[Shape] = &[
         bloom: false,
         max_candidates: None,
     },
-    // DFS is untouched by the batching but shares expand().
+    // DFS order shares the expander.
     Shape {
         name: "z3-dfs",
         ways: 4,

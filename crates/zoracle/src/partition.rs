@@ -471,7 +471,6 @@ pub fn run_part_diff_mutated(
 
         if !out.hit {
             let dut_cands: Vec<(u32, Option<u64>)> = dut
-                .cache()
                 .last_candidates()
                 .as_slice()
                 .iter()

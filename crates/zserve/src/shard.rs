@@ -344,7 +344,7 @@ impl Shard {
                 u64::from(self.cfg.ways)
             } else {
                 self.counters.misses += 1;
-                u64::from(self.cfg.ways) + u64::from(cache.last_candidates().tag_reads)
+                u64::from(self.cfg.ways) + u64::from(cache.last_walk().tag_reads)
             };
             spent += cost;
             self.duel.observe(req.key);
